@@ -61,15 +61,6 @@ pub struct LocalizerConfig {
     /// Lines that must not be blamed (e.g. verified library code, Sec. 6.3);
     /// their selectors are asserted hard.
     pub trusted_lines: Vec<Line>,
-    /// Race both complete MAX-SAT strategies on parallel threads for every
-    /// CoMSS extraction ([`maxsat::portfolio`]) instead of running
-    /// [`LocalizerConfig::strategy`] alone. The racing workers share a
-    /// best-cost bound and the loser is cancelled, so on multi-core hardware
-    /// each extraction costs the *minimum* of the two strategies' runtimes
-    /// (plus negligible synchronization), not their sum. On a single core the
-    /// portfolio runs its lead strategy alone — see
-    /// [`maxsat::PortfolioSolver::solve`].
-    pub portfolio: bool,
     /// Preprocess the prepared hard clauses with [`sat::simplify`] — unit
     /// propagation, subsumption, self-subsuming resolution and bounded
     /// variable elimination — before any MAX-SAT solving (default `true`).
@@ -105,7 +96,6 @@ impl Default for LocalizerConfig {
             loop_weighting: false,
             base_weight: 1,
             trusted_lines: Vec::new(),
-            portfolio: false,
             simplify: true,
             static_prune: true,
             static_priors: false,
@@ -656,7 +646,6 @@ impl Localizer {
             && a.granularity == b.granularity
             && a.loop_weighting == b.loop_weighting
             && a.base_weight == b.base_weight
-            && a.portfolio == b.portfolio
             && a.simplify == b.simplify
             && a.static_prune == b.static_prune
             && a.static_priors == b.static_priors
@@ -1083,32 +1072,10 @@ impl Localizer {
     /// Returns [`LocalizeError::ArityMismatch`] if the test vector length is
     /// wrong.
     pub fn localize(&self, failing_input: &[i64]) -> Result<LocalizationReport, LocalizeError> {
-        self.localize_seeded(failing_input, None)
+        self.localize_budgeted(failing_input, Budget::UNLIMITED)
     }
 
-    /// [`Localizer::localize`], warm-started with the per-rank CoMSS costs
-    /// of a *previous* run over a closely related program (the service's
-    /// `revise` flow passes the costs of the pre-edit report).
-    ///
-    /// The hints are upper-bound guesses, not trusted facts: they only seed
-    /// the racing portfolio's shared bound
-    /// ([`maxsat::RaceContext::seed_bound`]), where a wrong guess costs at
-    /// most one extra SAT call and can never change the optimum. With the
-    /// portfolio disabled the hints are deliberately ignored, so the
-    /// deterministic single-strategy reports stay bit-reproducible.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Localizer::localize`].
-    pub fn localize_seeded(
-        &self,
-        failing_input: &[i64],
-        cost_hints: Option<&[u64]>,
-    ) -> Result<LocalizationReport, LocalizeError> {
-        self.localize_budgeted(failing_input, cost_hints, Budget::UNLIMITED)
-    }
-
-    /// [`Localizer::localize_seeded`] under a resource [`Budget`].
+    /// [`Localizer::localize`] under a resource [`Budget`].
     ///
     /// The budget bounds the *whole* suspect enumeration, not each MAX-SAT
     /// call: the deadline is checked between the prepare and solve phases and
@@ -1124,14 +1091,13 @@ impl Localizer {
     pub fn localize_budgeted(
         &self,
         failing_input: &[i64],
-        cost_hints: Option<&[u64]>,
         budget: Budget,
     ) -> Result<LocalizationReport, LocalizeError> {
         // The input-independent template is built once per localizer (first
         // call pays, every later call — from any thread — reuses it) and
         // cloned into the per-test base instance.
         let (prepared, prepare_ms) = self.prepared_timed();
-        self.localize_with(prepared, failing_input, prepare_ms, cost_hints, budget)
+        self.localize_with(prepared, failing_input, prepare_ms, budget)
     }
 
     /// Extends a model of the *prepared* (possibly simplified) formula back
@@ -1153,7 +1119,6 @@ impl Localizer {
         prepared: &PreparedFormula,
         failing_input: &[i64],
         prepare_ms: u128,
-        cost_hints: Option<&[u64]>,
         budget: Budget,
     ) -> Result<LocalizationReport, LocalizeError> {
         let selectors: &[Selector] = &prepared.selectors;
@@ -1181,12 +1146,7 @@ impl Localizer {
             }
         }
 
-        let strategy = if self.config.portfolio {
-            Strategy::Portfolio
-        } else {
-            self.config.strategy
-        };
-        let mut solver = MaxSatSolver::new(strategy);
+        let mut solver = MaxSatSolver::new(self.config.strategy);
         solver.set_budget(budget);
         let pruned_lines: BTreeSet<Line> = selectors
             .iter()
@@ -1241,10 +1201,6 @@ impl Localizer {
                 soft_ids.insert(id, i);
             }
             stats.maxsat_calls += 1;
-            // Warm start: the corresponding rank of a previous run's report
-            // is a good guess for this rank's optimum. Only the portfolio
-            // consumes the hint (see `localize_seeded`).
-            solver.set_bound_hint(cost_hints.and_then(|h| h.get(rank).copied()));
             let result = solver.solve(&instance);
             let solver_stats = solver.stats();
             stats.reduce_dbs += solver_stats.reduce_dbs;
@@ -1379,15 +1335,9 @@ impl Localizer {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
 
-        // With the portfolio enabled every extraction runs two racing solver
-        // threads, so halve the batch fan-out to keep the total thread count
-        // at the core count instead of oversubscribing every extraction.
-        let per_test_threads = if self.config.portfolio { 2 } else { 1 };
-        let workers = (std::thread::available_parallelism()
+        let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            / per_test_threads)
-            .max(1)
             .min(failing_inputs.len());
         if failing_inputs.is_empty() {
             return Ok(crate::ranking::RankedReport::from_reports(Vec::new()));
@@ -1399,7 +1349,7 @@ impl Localizer {
         if workers <= 1 {
             let mut per_test = Vec::with_capacity(failing_inputs.len());
             for input in failing_inputs {
-                per_test.push(self.localize_budgeted(input, None, budget)?);
+                per_test.push(self.localize_budgeted(input, budget)?);
             }
             return Ok(crate::ranking::RankedReport::from_reports(per_test));
         }
@@ -1417,7 +1367,7 @@ impl Localizer {
                     let Some(input) = failing_inputs.get(i) else {
                         break;
                     };
-                    let result = self.localize_budgeted(input, None, budget);
+                    let result = self.localize_budgeted(input, budget);
                     *slots[i].lock().expect("batch slot poisoned") = Some(result);
                 });
             }
@@ -1503,7 +1453,7 @@ mod tests {
         // immediately, incomplete, with every reported rank (if any) costing
         // at least its exact counterpart — never hang or error.
         let expired = Budget::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let partial = localizer.localize_budgeted(&[1], None, expired).unwrap();
+        let partial = localizer.localize_budgeted(&[1], expired).unwrap();
         assert!(!partial.complete, "{partial:?}");
         assert!(partial.suspects.len() <= exact.suspects.len());
         for (got, want) in partial.suspects.iter().zip(&exact.suspects) {
@@ -1513,7 +1463,7 @@ mod tests {
         // Lifting the budget on the same localizer restores the exact run
         // (the prepared formula is shared state; expiry must not corrupt it).
         let again = localizer
-            .localize_budgeted(&[1], None, Budget::UNLIMITED)
+            .localize_budgeted(&[1], Budget::UNLIMITED)
             .unwrap();
         assert!(again.complete);
         assert_eq!(again.suspects, exact.suspects);
@@ -1526,7 +1476,7 @@ mod tests {
         let localizer = Localizer::new(&program, "testme", &Spec::Assertions, &config8()).unwrap();
         let exact = localizer.localize(&[1]).unwrap();
         let generous = Budget::with_timeout(std::time::Duration::from_secs(3600));
-        let budgeted = localizer.localize_budgeted(&[1], None, generous).unwrap();
+        let budgeted = localizer.localize_budgeted(&[1], generous).unwrap();
         assert!(budgeted.complete);
         assert_eq!(budgeted.suspects, exact.suspects);
         assert_eq!(budgeted.suspect_lines, exact.suspect_lines);
@@ -1589,25 +1539,6 @@ mod tests {
             assert!(!suspect.lines.is_empty());
             assert!(!format!("{suspect}").is_empty());
         }
-    }
-
-    #[test]
-    fn portfolio_matches_single_strategy_report() {
-        let program = motivating_example();
-        let single = Localizer::new(&program, "testme", &Spec::Assertions, &config8()).unwrap();
-        let mut config = config8();
-        config.portfolio = true;
-        let racing = Localizer::new(&program, "testme", &Spec::Assertions, &config).unwrap();
-        let expected = single.localize(&[1]).unwrap();
-        let actual = racing.localize(&[1]).unwrap();
-        // The portfolio returns an optimal CoMSS at every enumeration step.
-        // Only the optimum *cost* is guaranteed to match the single-strategy
-        // run: with several equal-cost optima the race winner may pick a
-        // different one, diverging the rest of the enumeration. The paper's
-        // two semantic fix points must be blamed either way.
-        assert_eq!(actual.suspects[0].cost, expected.suspects[0].cost);
-        assert!(actual.blames_line(Line(6)), "report: {actual:?}");
-        assert!(actual.blames_line(Line(3)), "report: {actual:?}");
     }
 
     #[test]

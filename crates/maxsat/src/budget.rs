@@ -3,11 +3,8 @@
 //! BugAssist-style whole-program MAX-SAT has unbounded worst-case solve
 //! time, so every solve in this crate can be bounded by a [`Budget`]: an
 //! absolute wall-clock deadline and/or a cap on the number of SAT-solver
-//! conflicts each strategy worker may spend. The budget travels inside the
-//! shared [`crate::RaceContext`] — which doubles as the *cancel token* of a
-//! solve: workers stop at the union of "budget exhausted" and "externally
-//! cancelled" ([`crate::RaceContext::cancel`]), polled at the SAT solver's
-//! restart boundaries via [`sat::Solver::solve_assuming_budgeted`].
+//! conflicts the strategy may spend. Both limits are polled at the SAT
+//! solver's restart boundaries via [`sat::Solver::solve_assuming_budgeted`].
 //!
 //! A budgeted solve never turns expiry into an error: if an incumbent model
 //! exists when the budget runs out, the solver returns it as an **anytime
@@ -25,9 +22,9 @@ pub struct Budget {
     /// Absolute wall-clock deadline; the solve gives up at the next restart
     /// boundary once it has passed.
     pub deadline: Option<Instant>,
-    /// Maximum number of SAT conflicts each strategy worker may accumulate
-    /// over its run (each worker owns one incremental SAT solver, so the cap
-    /// is per worker, not global across a portfolio race).
+    /// Maximum number of SAT conflicts one MAX-SAT solve may accumulate
+    /// over its run (each solve owns one incremental SAT solver, so the cap
+    /// is per solve).
     pub conflict_cap: Option<u64>,
 }
 
@@ -51,11 +48,6 @@ impl Budget {
         Budget::with_deadline(Instant::now() + timeout)
     }
 
-    /// `true` if neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.conflict_cap.is_none()
-    }
-
     /// `true` once the wall-clock deadline (if any) has passed.
     pub fn deadline_expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -69,7 +61,6 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let budget = Budget::default();
-        assert!(budget.is_unlimited());
         assert!(!budget.deadline_expired());
         assert_eq!(budget, Budget::UNLIMITED);
     }
@@ -78,18 +69,7 @@ mod tests {
     fn deadline_expiry_tracks_the_clock() {
         let expired = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(expired.deadline_expired());
-        assert!(!expired.is_unlimited());
         let generous = Budget::with_timeout(Duration::from_secs(3600));
         assert!(!generous.deadline_expired());
-    }
-
-    #[test]
-    fn conflict_cap_alone_is_a_limit() {
-        let capped = Budget {
-            deadline: None,
-            conflict_cap: Some(1000),
-        };
-        assert!(!capped.is_unlimited());
-        assert!(!capped.deadline_expired());
     }
 }

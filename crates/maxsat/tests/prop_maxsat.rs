@@ -3,7 +3,7 @@
 //! must be a genuine minimum-weight correction set. Seeded PRNG keeps every
 //! run deterministic.
 
-use maxsat::{solve, MaxSatInstance, PortfolioSolver, Strategy as MsStrategy};
+use maxsat::{solve, MaxSatInstance, Strategy as MsStrategy};
 use prng::SplitMix64;
 use sat::reference::brute_force_max_sat;
 use sat::{Clause, CnfFormula, Lit, Var};
@@ -83,49 +83,6 @@ fn strategies_match_brute_force_optimum() {
                 (r, s) => panic!(
                     "case {case}: disagreement: reference {:?}, solver {:?}",
                     r.is_some(),
-                    s.is_some()
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn portfolio_matches_single_strategies_on_random_instances() {
-    // The racing portfolio must be a drop-in replacement: same optimum cost
-    // (and same hard-UNSAT verdict) as each complete strategy run alone.
-    let mut rng = SplitMix64::seed_from_u64(0xFACE);
-    for case in 0..64 {
-        let raw = random_instance(&mut rng, 6);
-        let (inst, _, _) = to_instance(&raw);
-        let portfolio = solve(&inst, MsStrategy::Portfolio);
-        // Also force the threaded race (Strategy::Portfolio may degrade to a
-        // single strategy on single-core machines) and cross-check its cost.
-        let raced = PortfolioSolver::default().race(&inst);
-        match (portfolio.optimum(), raced.result.optimum()) {
-            (None, None) => {}
-            (Some(p), Some(r)) => assert_eq!(p.cost, r.cost, "case {case}: forced race drifts"),
-            (p, r) => panic!(
-                "case {case}: adaptive {:?} vs raced {:?}",
-                p.is_some(),
-                r.is_some()
-            ),
-        }
-        for strategy in [MsStrategy::FuMalik, MsStrategy::LinearSatUnsat] {
-            let single = solve(&inst, strategy);
-            match (portfolio.optimum(), single.optimum()) {
-                (None, None) => {}
-                (Some(p), Some(s)) => {
-                    assert_eq!(
-                        p.cost, s.cost,
-                        "case {case}: portfolio cost differs from {strategy:?} on {raw:?}"
-                    );
-                    // The portfolio's model must be genuinely optimal too.
-                    assert_eq!(inst.cost_of(&p.model), Some(p.cost), "case {case}");
-                }
-                (p, s) => panic!(
-                    "case {case}: SAT/UNSAT disagreement: portfolio {:?}, {strategy:?} {:?}",
-                    p.is_some(),
                     s.is_some()
                 ),
             }

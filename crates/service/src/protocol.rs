@@ -27,7 +27,7 @@
 //! {"id":1,"op":"localize","program":"int main(int x) {\nint y = x + 2;\nreturn y;\n}",
 //!  "entry":"main","spec":{"return_equals":4},"inputs":[[5]],
 //!  "width":8,"unwind":8,"max_suspect_sets":16,"granularity":"line",
-//!  "strategy":"fu_malik","portfolio":false}
+//!  "strategy":"fu_malik"}
 //! ```
 //!
 //! and a successful response like
@@ -129,46 +129,13 @@ impl Job {
     /// The stable cache key of this job's *prepared localizer*: everything
     /// that affects `Localizer::new` + preparation is mixed in — the
     /// structural [`minic::ast_hash()`](minic::ast_hash()) of the parsed
-    /// program, the entry, the
-    /// spec, and every option — while the failing inputs are deliberately
-    /// left out (one prepared localizer serves any input).
+    /// program followed by [`Job::options_fingerprint`] (entry, spec and
+    /// every option) — while the failing inputs are deliberately left out
+    /// (one prepared localizer serves any input).
     pub fn cache_key(&self, program: &minic::Program) -> u64 {
         let mut h = StableHasher::new();
         minic::hash_program(&mut h, program);
-        h.write_str(&self.entry);
-        match self.spec {
-            JobSpec::Assertions => h.write_u8(1),
-            JobSpec::ReturnEquals(v) => {
-                h.write_u8(2);
-                h.write_i64(v);
-            }
-        }
-        let o = &self.options;
-        h.write_usize(o.width);
-        h.write_usize(o.unwind);
-        h.write_usize(o.max_inline_depth);
-        h.write_u8(match o.granularity {
-            Granularity::Line => 1,
-            Granularity::StatementInstance => 2,
-        });
-        h.write_u8(u8::from(o.loop_weighting));
-        h.write_u64(o.base_weight);
-        h.write_usize(o.max_suspect_sets);
-        h.write_u8(match o.strategy {
-            Strategy::FuMalik => 1,
-            Strategy::LinearSatUnsat => 2,
-            Strategy::Portfolio => 3,
-        });
-        h.write_u8(u8::from(o.portfolio));
-        h.write_u8(u8::from(o.gate_cache));
-        h.write_u8(u8::from(o.word_passes));
-        h.write_u8(u8::from(o.simplify));
-        h.write_u8(u8::from(o.static_prune));
-        h.write_u8(u8::from(o.static_priors));
-        h.write_usize(o.trusted_lines.len());
-        for line in &o.trusted_lines {
-            h.write_u64(u64::from(*line));
-        }
+        h.write_u64(self.options_fingerprint());
         h.finish()
     }
 
@@ -202,9 +169,7 @@ impl Job {
         h.write_u8(match o.strategy {
             Strategy::FuMalik => 1,
             Strategy::LinearSatUnsat => 2,
-            Strategy::Portfolio => 3,
         });
-        h.write_u8(u8::from(o.portfolio));
         h.write_u8(u8::from(o.gate_cache));
         h.write_u8(u8::from(o.word_passes));
         h.write_u8(u8::from(o.simplify));
@@ -235,7 +200,6 @@ impl Job {
             loop_weighting: o.loop_weighting,
             base_weight: o.base_weight,
             trusted_lines: o.trusted_lines.iter().map(|&l| Line(l)).collect(),
-            portfolio: o.portfolio,
             simplify: o.simplify,
             static_prune: o.static_prune,
             static_priors: o.static_priors,
@@ -279,8 +243,6 @@ pub struct JobOptions {
     pub max_suspect_sets: usize,
     /// MAX-SAT strategy.
     pub strategy: Strategy,
-    /// Race both strategies per extraction.
-    pub portfolio: bool,
     /// Hash-cons structurally identical gates while bit-blasting.
     pub gate_cache: bool,
     /// Run the word-level simplification passes before bit-blasting.
@@ -307,7 +269,6 @@ impl Default for JobOptions {
             base_weight: base.base_weight,
             max_suspect_sets: DEFAULT_MAX_SUSPECT_SETS,
             strategy: base.strategy,
-            portfolio: base.portfolio,
             gate_cache: base.encode.gate_cache,
             word_passes: base.encode.word_passes,
             simplify: base.simplify,
@@ -440,10 +401,8 @@ fn job_fields(job: &Job, pairs: &mut Vec<(String, Json)>) {
         Json::str(match o.strategy {
             Strategy::FuMalik => "fu_malik",
             Strategy::LinearSatUnsat => "linear_sat_unsat",
-            Strategy::Portfolio => "portfolio",
         }),
     );
-    push(pairs, "portfolio", Json::Bool(o.portfolio));
     push(pairs, "gate_cache", Json::Bool(o.gate_cache));
     push(pairs, "word_passes", Json::Bool(o.word_passes));
     push(pairs, "simplify", Json::Bool(o.simplify));
@@ -572,18 +531,8 @@ fn parse_job(value: &Json) -> Result<Job, ProtocolError> {
         options.strategy = match v.as_str() {
             Some("fu_malik") => Strategy::FuMalik,
             Some("linear_sat_unsat") => Strategy::LinearSatUnsat,
-            Some("portfolio") => Strategy::Portfolio,
-            _ => {
-                return Err(bad(
-                    "strategy must be fu_malik, linear_sat_unsat or portfolio",
-                ))
-            }
+            _ => return Err(bad("strategy must be fu_malik or linear_sat_unsat")),
         };
-    }
-    if let Some(v) = value.get("portfolio") {
-        options.portfolio = v
-            .as_bool()
-            .ok_or_else(|| bad("portfolio must be a boolean"))?;
     }
     if let Some(v) = value.get("gate_cache") {
         options.gate_cache = v
@@ -870,7 +819,6 @@ mod tests {
             vec![vec![5], vec![7]],
         );
         job.options.trusted_lines = vec![3];
-        job.options.portfolio = true;
         job
     }
 
@@ -1047,7 +995,6 @@ mod tests {
         let config = job.localizer_config();
         assert_eq!(config.encode.width, 8);
         assert_eq!(config.trusted_lines, vec![Line(3)]);
-        assert!(config.portfolio);
         assert_eq!(config.max_suspect_sets, DEFAULT_MAX_SUSPECT_SETS);
         assert!(matches!(job.bmc_spec(), Spec::ReturnEquals(4)));
     }

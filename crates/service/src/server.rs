@@ -1132,17 +1132,12 @@ impl ServerState {
             }
         }
         let key = queued.job.cache_key(&program);
-        // The pre-edit entry, for revisions: the delta source and the
-        // warm-start seed donor.
-        let prev = match queued.kind {
-            JobKind::Revise { prev_key } => self.cache.lookup(prev_key),
-            _ => None,
-        };
         let (entry, hit, build_ms, delta, reused, mut remapped, tier) = match queued.kind {
-            JobKind::Revise { .. } => {
+            JobKind::Revise { prev_key } => {
                 // The revise path deliberately skips the store consult: its
                 // delta machinery wants the *pre-edit* in-memory entry, and
                 // a cold fallback build answers identically anyway.
+                let prev = self.cache.lookup(prev_key);
                 match self.revised_entry(&queued.job, &program, key, prev.as_ref()) {
                     Ok((entry, hit, build_ms, delta, reused, remapped)) => {
                         let tier = if hit { "memory" } else { "built" };
@@ -1230,28 +1225,12 @@ impl ServerState {
                         solved = false;
                         report
                     }
-                    None => {
-                        // Warm start: seed the racing portfolio with the
-                        // pre-edit report's per-rank costs. Deterministic
-                        // single-strategy jobs ignore the seeds (see
-                        // `Localizer::localize_seeded`), so reports stay
-                        // bit-reproducible.
-                        let seeds = match queued.kind {
-                            JobKind::Revise { .. } if queued.job.options.portfolio => {
-                                prev.as_ref().and_then(|p| p.seed_costs())
-                            }
-                            _ => None,
-                        };
-                        match entry
-                            .localizer
-                            .localize_budgeted(input, seeds.as_deref(), budget)
-                        {
-                            Err(e) => {
-                                return self.error_line(queued.id, Self::localize_error_kind(&e), e)
-                            }
-                            Ok(report) => report,
+                    None => match entry.localizer.localize_budgeted(input, budget) {
+                        Err(e) => {
+                            return self.error_line(queued.id, Self::localize_error_kind(&e), e)
                         }
-                    }
+                        Ok(report) => report,
+                    },
                 };
                 // Never remember an anytime report: the report cache feeds
                 // solve-skipping replays and revise remaps, which must only

@@ -650,6 +650,65 @@ fn wire_level_raw_lines_work_without_the_client() {
 }
 
 #[test]
+fn removed_portfolio_fields_are_ignored_or_rejected_on_the_wire() {
+    // Jobs have no `portfolio` option: a `"portfolio"` flag is an unknown
+    // key and ignored, so the job gets the same cache entry and the same
+    // report as without it. `portfolio` is not a strategy either: such a
+    // request is rejected with a structured error naming the valid ones.
+    use std::io::{BufRead, BufReader, Write};
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut round_trip = |extra: &str| {
+        let request = format!(
+            "{}{extra}}}\n",
+            concat!(
+                r#"{"id":7,"op":"localize","program":"int main(int x) {\nint y = x + 2;\nreturn y;\n}","#,
+                r#""entry":"main","spec":{"return_equals":4},"inputs":[[5]],"width":8"#,
+            )
+        );
+        writer.write_all(request.as_bytes()).expect("writes");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        Json::parse(line.trim_end()).expect("response parses")
+    };
+
+    let plain = round_trip("");
+    assert_eq!(plain.get("cache").and_then(Json::as_str), Some("miss"));
+    for flag in [r#","portfolio":true"#, r#","portfolio":false"#] {
+        let flagged = round_trip(flag);
+        assert_eq!(flagged.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(flagged.get("cache").and_then(Json::as_str), Some("hit"));
+        assert_eq!(flagged.get("key"), plain.get("key"), "{flag}");
+        assert_eq!(
+            canonical(flagged.get("report").expect("report")),
+            canonical(plain.get("report").expect("report")),
+            "{flag}"
+        );
+    }
+
+    let rejected = round_trip(r#","strategy":"portfolio""#);
+    assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        rejected.get("kind").and_then(Json::as_str),
+        Some("parse_error")
+    );
+    assert!(
+        rejected
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("strategy must be fu_malik or linear_sat_unsat")),
+        "{rejected}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_op_drains_and_stops_the_daemon() {
     let server = Server::start(ServiceConfig {
         workers: 2,

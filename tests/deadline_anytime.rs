@@ -73,7 +73,7 @@ fn tcas_mid_solve_deadline_yields_anytime_upper_bound_or_exact() {
     // the contract demands the exact report — both arms are pinned.)
     let deadline = (exact_wall / 5).max(Duration::from_millis(1));
     let budgeted = localizer
-        .localize_budgeted(&input, None, Budget::with_timeout(deadline))
+        .localize_budgeted(&input, Budget::with_timeout(deadline))
         .expect("budget expiry is never an error");
 
     if budgeted.complete {
@@ -116,7 +116,7 @@ fn tcas_mid_solve_deadline_yields_anytime_upper_bound_or_exact() {
     // every later call on this localizer, and an unbudgeted re-run must
     // reproduce the exact report in full.
     let again = localizer
-        .localize_budgeted(&input, None, Budget::UNLIMITED)
+        .localize_budgeted(&input, Budget::UNLIMITED)
         .expect("re-run");
     assert!(again.complete);
     assert_eq!(again.suspects, exact.suspects);

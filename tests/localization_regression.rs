@@ -1,7 +1,7 @@
 //! TCAS localization equality regressions guarding the SAT-core rewrite:
 //! the arena-backed solver with learnt-clause reduction must produce the
-//! same localizations, the same batch ranking, and the same portfolio
-//! answers as the straight-line paths.
+//! same localizations, the same batch ranking, and the same optimum
+//! across strategies as the straight-line paths.
 
 use bmc::Spec;
 use bugassist::{Localizer, LocalizerConfig, RankedReport};
@@ -33,7 +33,7 @@ fn tcas_failing_batch() -> (minic::Program, i64, Vec<Vec<i64>>) {
     (faulty, golden, failing.iter().take(3).cloned().collect())
 }
 
-fn config(strategy: Strategy, portfolio: bool) -> LocalizerConfig {
+fn config(strategy: Strategy) -> LocalizerConfig {
     LocalizerConfig {
         encode: bmc::EncodeConfig {
             width: 16,
@@ -43,7 +43,6 @@ fn config(strategy: Strategy, portfolio: bool) -> LocalizerConfig {
             ..bmc::EncodeConfig::default()
         },
         strategy,
-        portfolio,
         max_suspect_sets: 2,
         trusted_lines: siemens::tcas_trusted_lines(),
         ..LocalizerConfig::default()
@@ -56,7 +55,7 @@ fn config(strategy: Strategy, portfolio: bool) -> LocalizerConfig {
 fn tcas_batch_ranking_equals_sequential_merge() {
     let (faulty, golden, batch) = tcas_failing_batch();
     let spec = Spec::ReturnEquals(golden);
-    let cfg = config(Strategy::FuMalik, false);
+    let cfg = config(Strategy::FuMalik);
     let localizer =
         Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &cfg).expect("TCAS encodes");
 
@@ -78,11 +77,8 @@ fn tcas_batch_ranking_equals_sequential_merge() {
     }
 }
 
-/// Every strategy — core-guided, model-improving and the racing portfolio —
-/// must agree on the optimum CoMSS cost of the same failing test. (When
-/// several optima tie on cost the strategies may legitimately pick different
-/// ones, so cost is the strategy-invariant quantity; see
-/// `portfolio_matches_single_strategy_report` in `bugassist`.)
+/// Every strategy — core-guided and model-improving — must agree on the
+/// optimum CoMSS cost of the same failing test.
 #[test]
 fn tcas_all_strategies_agree_on_optimal_cost() {
     let (faulty, golden, batch) = tcas_failing_batch();
@@ -90,12 +86,11 @@ fn tcas_all_strategies_agree_on_optimal_cost() {
     let probe = &batch[0];
 
     let mut costs = Vec::new();
-    for (label, strategy, portfolio) in [
-        ("fu_malik", Strategy::FuMalik, false),
-        ("linear_sat_unsat", Strategy::LinearSatUnsat, false),
-        ("portfolio", Strategy::FuMalik, true),
+    for (label, strategy) in [
+        ("fu_malik", Strategy::FuMalik),
+        ("linear_sat_unsat", Strategy::LinearSatUnsat),
     ] {
-        let cfg = config(strategy, portfolio);
+        let cfg = config(strategy);
         let localizer =
             Localizer::new(&faulty, siemens::TCAS_ENTRY, &spec, &cfg).expect("TCAS encodes");
         let report = localizer.localize(probe).expect("localization succeeds");
